@@ -9,8 +9,8 @@ path.  Two shapes are measured against one embedded
   T=65536, one request at a time): whole-request wall time (encode →
   socket → from_packed → compute → binary result frame → merge) with
   the in-process ``identify_batch`` wall time of the same batch as
-  the no-RPC baseline.  Served on the fast path with version-2 binary
-  responses.
+  the no-RPC baseline.  Served on the fast path with binary result
+  frames.
 * ``serving_identify_rpc_concurrent`` — the production shape (many
   connections × pipelined streams of small 16-wire requests, request
   coalescing on): per-request latency under concurrency, where the

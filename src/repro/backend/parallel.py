@@ -33,7 +33,6 @@ dispatch.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -147,45 +146,17 @@ def _dispatch(
             _RowTask(kernel, a_spec, b_spec, lo, hi) for lo, hi in bounds
         ]
         try:
-            handles = runner.submit_many(_run_row_task, tasks)
+            results = runner.supervised_results(
+                _run_row_task, tasks, timeout=_RESULT_TIMEOUT_S
+            )
         except PipelineError:
             return None
-        return _gather_supervised(runner, handles, tasks)
+        # Gathered while the arena is still alive: a slice recovered
+        # after a worker loss attaches the *same* operands, so the
+        # row-order concatenation stays bit-identical.
+        return list(results)
     finally:
         arena.close()
-
-
-def _gather_supervised(runner, handles, tasks) -> List[Any]:
-    """Await the fan-out's results, recovering any lost slice.
-
-    A slice whose result times out (or whose result channel broke) lost
-    its worker; it re-runs through the runner's supervision ladder —
-    resubmit, pool restart, in-process floor — while the arena is still
-    alive, so the recovered slice attaches the *same* operands and the
-    row-order concatenation stays bit-identical to the undisturbed run.
-    """
-    await_result = getattr(runner, "await_result", None)
-    baseline = runner.worker_pids() if await_result is not None else None
-    results: List[Any] = []
-    for handle, task in zip(handles, tasks):
-        try:
-            if await_result is not None:
-                results.append(
-                    await_result(
-                        handle, timeout=_RESULT_TIMEOUT_S, baseline=baseline
-                    )
-                )
-            else:
-                results.append(handle.get(_RESULT_TIMEOUT_S))
-        except (multiprocessing.TimeoutError, OSError, EOFError):
-            recover = getattr(runner, "submit_supervised", None)
-            if recover is None:
-                results.append(_run_row_task(task))
-            else:
-                results.append(
-                    recover(_run_row_task, task, timeout=_RESULT_TIMEOUT_S)
-                )
-    return results
 
 
 def pairwise_counts(

@@ -31,12 +31,13 @@ One :class:`Runner` drives every experiment through the same path:
   fancier than JSON-ready data ever crosses the process boundary;
 * failures never abort a multi-experiment run: each report carries its
   own status and traceback, and the store archives error records too;
-* **non-experiment dispatch** — :meth:`Runner.submit` and
+* **non-experiment dispatch** — :meth:`Runner.supervised_results` and
   :meth:`Runner.broadcast` expose the persistent pool to callers with
   their own task shapes.  The serving front-end (:mod:`repro.serving`)
-  drives per-request ``(handle, row_range)`` shard tasks and its basis
-  install/discard broadcasts through them, and ends each serving
-  session with the same end-of-run attachment release broadcast the
+  and the parallel kernel layer (:mod:`repro.backend.parallel`) gather
+  their shard tasks through the one supervised fan-out, the server
+  broadcasts its basis install/discard, and each serving session ends
+  with the same end-of-run attachment release broadcast the
   shared-dispatch experiments use.
 """
 
@@ -48,7 +49,7 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..backend.shared import HAVE_SHARED_MEMORY, SharedArena, process_cache
 from ..errors import PipelineError
@@ -450,12 +451,13 @@ class Runner:
     # ------------------------------------------------------------------
     #
     # The registry/spec machinery above is the experiment pipeline's
-    # entry point; these three methods are the *pool's* public surface
-    # for callers with their own task shapes — the serving front-end
-    # (:mod:`repro.serving`) dispatches per-request shard tasks and its
-    # basis install/discard broadcasts through them, reusing the
-    # persistent workers, the attachment cache and the release barrier
-    # instead of growing a second pool implementation.
+    # entry point; these methods (with :meth:`supervised_results` below)
+    # are the *pool's* public surface for callers with their own task
+    # shapes — the serving front-end (:mod:`repro.serving`) dispatches
+    # per-request shard tasks and its basis install/discard broadcasts
+    # through them, reusing the persistent workers, the attachment
+    # cache and the release barrier instead of growing a second pool
+    # implementation.
 
     def ensure_pool(self):
         """The persistent worker pool (created now if needed).
@@ -481,16 +483,6 @@ class Runner:
                 "jobs >= 2 or run the task in-process"
             )
         return pool.apply_async(fn, (task,))
-
-    def submit_many(self, fn, tasks) -> List[Any]:
-        """``submit`` every task and return the ``AsyncResult`` list.
-
-        The fan-out half of the parallel kernel layer's dispatch: all
-        tasks enter the pool before any result is awaited, so workers
-        overlap.  Same contract as :meth:`submit` (module-level ``fn``,
-        ``jobs >= 2``).
-        """
-        return [self.submit(fn, task) for task in tasks]
 
     def broadcast(self, fn, payload=None, *, sticky: bool = True) -> Optional[List[Any]]:
         """Run ``fn(payload)`` exactly once on every pool worker.
@@ -697,6 +689,47 @@ class Runner:
                 del exc
                 continue
         return fn(task)
+
+    def supervised_results(
+        self,
+        fn,
+        tasks,
+        *,
+        timeout: float = SUPERVISED_TIMEOUT_S,
+        retries: int = 2,
+    ) -> Iterator[Any]:
+        """Fan ``fn`` out over ``tasks``; yield the results in task order.
+
+        Every task enters the pool before this returns, so workers
+        overlap; the returned iterator then awaits the results one at a
+        time, in task order, so a caller can stream each result as soon
+        as it lands (the serving tier writes one shard frame per
+        result).  A result whose worker died (the pool's pid set
+        changed since the fan-out) or that outlived ``timeout`` re-runs
+        down the :meth:`submit_supervised` ladder — resubmit, pool
+        restart, in-process floor — so a caller that keeps the tasks'
+        operands alive until the iterator is exhausted gets the
+        undisturbed run's results through any worker loss.  Exceptions
+        raised by ``fn`` propagate unchanged.  Same ``jobs >= 2``
+        contract as :meth:`submit` (raised here, before any await).
+        """
+        tasks = list(tasks)
+        handles = [self.submit(fn, task) for task in tasks]
+        baseline = self.worker_pids()
+
+        def results():
+            for handle, task in zip(handles, tasks):
+                try:
+                    result = self.await_result(
+                        handle, timeout=timeout, baseline=baseline
+                    )
+                except (multiprocessing.TimeoutError, OSError, EOFError):
+                    result = self.submit_supervised(
+                        fn, task, timeout=timeout, retries=retries
+                    )
+                yield result
+
+        return results()
 
     def release_worker_attachments(self) -> None:
         """Broadcast an attachment release to every live pool worker.

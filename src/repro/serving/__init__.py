@@ -1,7 +1,7 @@
 """Serving layer: the packed-bitset RPC boundary over the shard pool.
 
 The top of the stack documented in ``docs/architecture.md``:
-:mod:`~repro.serving.protocol` defines the versioned binary frame
+:mod:`~repro.serving.protocol` defines the binary frame
 format whose request payload is the ``np.packbits`` bitset itself,
 :mod:`~repro.serving.server` accepts those frames over asyncio TCP and
 dispatches per-request ``(handle, row_range)`` shards onto the

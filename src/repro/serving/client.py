@@ -13,23 +13,21 @@ Neither client ever touches spike indices: both take a
 :class:`~repro.backend.batch.SpikeTrainBatch` (or an already-packed
 bitset), frame its ``packbits`` transport form — packed straight from
 the CSR, no raster, and handed to the socket as buffer views without
-an intermediate concatenation copy — and merge the per-shard response
-frames the server streams back into whole-batch result arrays.  By
-default requests are stamped the current protocol version (3), so
-results return as binary frames
-(:func:`~repro.serving.protocol.parse_result_frame`); ``version=1``
-selects the JSON response encoding, and the merged replies are
-bit-identical either way.
+an intermediate concatenation copy — and merge the per-shard binary
+result frames (:func:`~repro.serving.protocol.parse_result_frame`) the
+server streams back into whole-batch result arrays.
 
-Version 3 adds the *corpus* methods (``corpus_identify`` /
-``corpus_membership``): instead of shipping a bitset, they name a
-corpus the server hosts (``repro serve --corpus``) plus a row range,
-and the server streams back chunk results computed straight off its
-memmap — the reply merges exactly like a bitset request's.  Version 5
-adds ``logicnet()``: a 20-byte query naming a seeded network family
-and a network range; the server rebuilds and evaluates the networks
-against its own basis and streams back per-network summaries.
-``ping()`` is the one-frame health probe.
+The *corpus* methods (``corpus_identify`` / ``corpus_membership``)
+name a corpus the server hosts (``repro serve --corpus``) plus a row
+range instead of shipping a bitset, and the server streams back chunk
+results computed straight off its memmap — the reply merges exactly
+like a bitset request's.  ``logicnet()`` sends a 20-byte query naming
+a seeded network family and a network range; the server rebuilds and
+evaluates the networks against its own basis and streams back
+per-network summaries.  ``ping()`` is the one-frame health probe.
+Both clients share one request API and send every request down one
+round-trip path: encode with a fresh request id, send, collect the
+response frames by that id.
 
 Usage::
 
@@ -48,6 +46,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, List, Optional, Union
 
 import numpy as np
@@ -163,19 +162,32 @@ class LogicNetReply:
     summary: dict
 
 
-def _parse_response(frame: protocol.Frame) -> dict:
-    """Decode one response frame's payload, either encoding."""
-    if frame.frame_type == protocol.FRAME_RESULT:
-        return protocol.parse_result_frame(frame)
-    return protocol.parse_json_frame(frame)
-
-
-def _raise_server_error(payload: dict) -> None:
-    raise ServingError(
+def _server_error(payload: dict) -> ServingError:
+    """The typed exception an ERROR frame's payload describes."""
+    return ServingError(
         int(payload.get("code", protocol.ERR_INTERNAL)),
         f"server error {payload.get('error', 'UNKNOWN')}: "
         f"{payload.get('message', '')}",
     )
+
+
+def _transport_form(wires, grid):
+    """``(packed bitset, grid)`` of the caller's batch."""
+    if isinstance(wires, SpikeTrainBatch):
+        return wires.packbits(), wires.grid
+    if grid is None:
+        raise ServingError(
+            protocol.ERR_BAD_FRAME,
+            "a raw packed array needs an explicit grid",
+        )
+    return np.asarray(wires, dtype=np.uint8), grid
+
+
+def _buffers(encoded) -> List[memoryview]:
+    """One encoded request as a list of byte buffers, uncopied."""
+    if isinstance(encoded, (bytes, bytearray)):
+        return [memoryview(encoded)]
+    return list(encoded)
 
 
 def _identify_reply(shards: List[dict], summary: dict) -> IdentifyReply:
@@ -220,21 +232,177 @@ def _logicnet_reply(shards: List[dict], summary: dict) -> LogicNetReply:
     )
 
 
-class ServingClient:
+def _json_reply(_shards: List[dict], payload: dict) -> dict:
+    """The reply of a PING or STATS request: its JSON payload."""
+    return payload
+
+
+class _RequestAPI:
+    """The request methods both clients share.
+
+    Each method encodes its request and hands it to the client's one
+    round-trip path, ``_call(reply, terminal, encode)``: ``encode``
+    turns a fresh request id into the request's bytes, the response
+    frames are collected by that id until the ``terminal`` frame, and
+    ``reply`` merges the shard payloads and the terminal JSON payload.
+    :class:`ServingClient` returns the merged reply;
+    :class:`AsyncServingClient` returns a coroutine resolving to it.
+    """
+
+    def identify(
+        self,
+        wires: Union[SpikeTrainBatch, np.ndarray],
+        grid: Optional[SimulationGrid] = None,
+        *,
+        start_slot: int = 0,
+        n_shards: int = 0,
+    ):
+        """Identify every wire in ``wires`` against the server's basis.
+
+        Returns an :class:`IdentifyReply`.
+        """
+        packed, grid = _transport_form(wires, grid)
+        return self._compute(
+            _identify_reply, protocol.encode_request_parts,
+            packed, grid.n_samples, grid.dt,
+            mode="identify", start_slot=start_slot, n_shards=n_shards,
+        )
+
+    def membership(
+        self,
+        wires: Union[SpikeTrainBatch, np.ndarray],
+        grid: Optional[SimulationGrid] = None,
+        *,
+        until_slot: Optional[int] = None,
+        n_shards: int = 0,
+    ):
+        """Set-membership readout of every wire against the basis.
+
+        Returns a :class:`MembershipReply`.
+        """
+        packed, grid = _transport_form(wires, grid)
+        return self._compute(
+            _membership_reply, protocol.encode_request_parts,
+            packed, grid.n_samples, grid.dt,
+            mode="membership", limit=until_slot, n_shards=n_shards,
+        )
+
+    def corpus_identify(
+        self,
+        corpus: str,
+        row_start: int,
+        row_stop: int,
+        *,
+        start_slot: int = 0,
+        n_shards: int = 0,
+    ):
+        """Identify rows ``[row_start, row_stop)`` of a server-hosted corpus.
+
+        No bitset leaves this process — the request names the corpus
+        and the row range, the server computes chunk-at-a-time off its
+        memmap, and the merged :class:`IdentifyReply` is bit-identical
+        to fetching those rows locally and calling :meth:`identify`.
+        """
+        return self._compute(
+            _identify_reply, protocol.encode_corpus_query,
+            corpus, row_start, row_stop,
+            mode="identify", start_slot=start_slot, n_shards=n_shards,
+        )
+
+    def corpus_membership(
+        self,
+        corpus: str,
+        row_start: int,
+        row_stop: int,
+        *,
+        until_slot: Optional[int] = None,
+        n_shards: int = 0,
+    ):
+        """Set-membership readout of a server-hosted corpus row range."""
+        return self._compute(
+            _membership_reply, protocol.encode_corpus_query,
+            corpus, row_start, row_stop,
+            mode="membership", limit=until_slot, n_shards=n_shards,
+        )
+
+    def logicnet(
+        self,
+        seed: int,
+        net_start: int,
+        net_stop: int,
+        *,
+        n_gates: int,
+        depth: int,
+        n_shards: int = 0,
+    ):
+        """Evaluate networks ``[net_start, net_stop)`` of a seeded family.
+
+        The request is 20 bytes — no bitset leaves this process.  The
+        server rebuilds each network from its ``spawn_rng(seed, i)``
+        spawn key, evaluates it against the serving basis's packed
+        input lines, and streams per-network output popcounts and
+        checksums; the merged :class:`LogicNetReply` is bit-identical
+        to building and evaluating the same range locally.
+        """
+        return self._compute(
+            _logicnet_reply, protocol.encode_logicnet_query,
+            seed, net_start, net_stop,
+            n_gates=n_gates, depth=depth, n_shards=n_shards,
+        )
+
+    def ping(self):
+        """One PING/PONG health round-trip (the load-balancer probe).
+
+        Returns the PONG payload — ``{"ready": true, ...}`` plus the
+        served protocol version and the hosted corpus name (if any).
+        The cheapest possible liveness check: no compute, no STATS
+        aggregation.
+        """
+        return self._call(
+            _json_reply, protocol.FRAME_PONG, protocol.encode_ping
+        )
+
+    def stats(self, scope: Optional[str] = None):
+        """The server's :class:`~repro.serving.server.ServerStats` snapshot.
+
+        ``scope`` is forwarded on the wire (see
+        :func:`~repro.serving.protocol.encode_stats_request`): against
+        a ``--workers N`` cluster, the default answers cluster-wide
+        aggregated counters and ``"local"`` answers only the worker
+        this connection landed on.  Single servers ignore it.
+        """
+        return self._call(
+            _json_reply,
+            protocol.FRAME_STATS_REPLY,
+            partial(protocol.encode_stats_request, scope=scope),
+        )
+
+    def _compute(self, reply, encode, *args, **options):
+        """One compute request, stamped with the client's deadline."""
+        return self._call(
+            reply,
+            protocol.FRAME_DONE,
+            lambda request_id: encode(
+                *args,
+                request_id=request_id,
+                deadline_ms=self._deadline_ms,
+                **options,
+            ),
+        )
+
+
+class ServingClient(_RequestAPI):
     """Blocking client for one serving endpoint.
 
     One TCP connection, reused across requests; close with
     :meth:`close` or a ``with`` block.  Not thread-safe — use one
-    client per thread (the benchmark does exactly that).  ``version``
-    selects the response encoding the server answers with (2+: binary
-    result frames — 3 also unlocks corpus queries; 4, the default,
-    adds request deadlines).
+    client per thread (the benchmark does exactly that).
 
     ``retry`` opts into re-issuing failed requests per
     :class:`RetryPolicy` — every retry reconnects first, so a crashed
     (and respawned) serving worker is transparent to the caller.
     ``deadline_ms`` stamps every compute request with a server-side
-    deadline (0: none; needs version 4).
+    deadline (0: none).
     """
 
     def __init__(
@@ -244,17 +412,10 @@ class ServingClient:
         *,
         timeout: float = 60.0,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
-        version: int = protocol.PROTOCOL_VERSION,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> None:
-        if version not in protocol.SUPPORTED_VERSIONS:
-            raise ProtocolError(
-                protocol.ERR_BAD_VERSION,
-                f"cannot speak protocol version {version}",
-            )
-        self._version = int(version)
-        self._deadline_ms = protocol._check_deadline_ms(deadline_ms, version)
+        self._deadline_ms = protocol._check_deadline_ms(deadline_ms)
         self._retry = retry
         self._host = host
         self._port = int(port)
@@ -312,170 +473,6 @@ class ServingClient:
                     raise
         raise AssertionError("unreachable")  # pragma: no cover
 
-    # ------------------------------------------------------------------
-    # Request API
-    # ------------------------------------------------------------------
-
-    def identify(
-        self,
-        wires: Union[SpikeTrainBatch, np.ndarray],
-        grid: Optional[SimulationGrid] = None,
-        *,
-        start_slot: int = 0,
-        n_shards: int = 0,
-    ) -> IdentifyReply:
-        """Identify every wire in ``wires`` against the server's basis."""
-        packed, grid = self._transport_form(wires, grid)
-        shards, summary = self._round_trip(
-            packed, grid, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
-        )
-        return _identify_reply(shards, summary)
-
-    def membership(
-        self,
-        wires: Union[SpikeTrainBatch, np.ndarray],
-        grid: Optional[SimulationGrid] = None,
-        *,
-        until_slot: Optional[int] = None,
-        n_shards: int = 0,
-    ) -> MembershipReply:
-        """Set-membership readout of every wire against the basis."""
-        packed, grid = self._transport_form(wires, grid)
-        shards, summary = self._round_trip(
-            packed, grid, mode="membership",
-            limit=until_slot, n_shards=n_shards,
-        )
-        return _membership_reply(shards, summary)
-
-    def corpus_identify(
-        self,
-        corpus: str,
-        row_start: int,
-        row_stop: int,
-        *,
-        start_slot: int = 0,
-        n_shards: int = 0,
-    ) -> IdentifyReply:
-        """Identify rows ``[row_start, row_stop)`` of a server-hosted corpus.
-
-        No bitset leaves this process — the request names the corpus
-        and the row range, the server computes chunk-at-a-time off its
-        memmap, and the merged reply is bit-identical to fetching those
-        rows locally and calling :meth:`identify`.  Needs protocol
-        version 3 (the client default).
-        """
-        shards, summary = self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
-        )
-        return _identify_reply(shards, summary)
-
-    def corpus_membership(
-        self,
-        corpus: str,
-        row_start: int,
-        row_stop: int,
-        *,
-        until_slot: Optional[int] = None,
-        n_shards: int = 0,
-    ) -> MembershipReply:
-        """Set-membership readout of a server-hosted corpus row range."""
-        shards, summary = self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="membership",
-            limit=until_slot, n_shards=n_shards,
-        )
-        return _membership_reply(shards, summary)
-
-    def logicnet(
-        self,
-        seed: int,
-        net_start: int,
-        net_stop: int,
-        *,
-        n_gates: int,
-        depth: int,
-        n_shards: int = 0,
-    ) -> LogicNetReply:
-        """Evaluate networks ``[net_start, net_stop)`` of a seeded family.
-
-        The request is 20 bytes — no bitset leaves this process.  The
-        server rebuilds each network from its ``spawn_rng(seed, i)``
-        spawn key, evaluates it against the serving basis's packed
-        input lines, and streams per-network output popcounts and
-        checksums; the merged reply is bit-identical to building and
-        evaluating the same range locally.  Needs protocol version 5
-        (the client default).
-        """
-        shards, summary = self._logicnet_round_trip(
-            seed, net_start, net_stop,
-            n_gates=n_gates, depth=depth, n_shards=n_shards,
-        )
-        return _logicnet_reply(shards, summary)
-
-    def ping(self) -> dict:
-        """One PING/PONG health round-trip (the load-balancer probe).
-
-        Returns the PONG payload — ``{"ready": true, ...}`` plus the
-        served protocol version and the hosted corpus name (if any).
-        The cheapest possible liveness check: no compute, no STATS
-        aggregation.
-        """
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
-                protocol.encode_ping(request_id, version=self._version)
-            )
-            frame = self._next_frame()
-            payload = protocol.parse_json_frame(frame)
-            if frame.frame_type == protocol.FRAME_ERROR:
-                _raise_server_error(payload)
-            if (
-                frame.frame_type != protocol.FRAME_PONG
-                or frame.request_id != request_id
-            ):
-                raise ProtocolError(
-                    protocol.ERR_BAD_TYPE,
-                    f"unexpected frame type 0x{frame.frame_type:02x} "
-                    f"answering a ping",
-                )
-            return payload
-
-        return self._retrying(issue)
-
-    def stats(self, scope: Optional[str] = None) -> dict:
-        """The server's :class:`~repro.serving.server.ServerStats` snapshot.
-
-        ``scope`` is forwarded on the wire (see
-        :func:`~repro.serving.protocol.encode_stats_request`): against
-        a ``--workers N`` cluster, the default answers cluster-wide
-        aggregated counters and ``"local"`` answers only the worker
-        this connection landed on.  Single servers ignore it.
-        """
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
-                protocol.encode_stats_request(
-                    request_id, version=self._version, scope=scope
-                )
-            )
-            frame = self._next_frame()
-            payload = protocol.parse_json_frame(frame)
-            if frame.frame_type == protocol.FRAME_ERROR:
-                _raise_server_error(payload)
-            if (
-                frame.frame_type != protocol.FRAME_STATS_REPLY
-                or frame.request_id != request_id
-            ):
-                raise ProtocolError(
-                    protocol.ERR_BAD_TYPE,
-                    f"unexpected frame type 0x{frame.frame_type:02x} "
-                    f"answering a stats request",
-                )
-            return payload
-
-        return self._retrying(issue)
-
     def close(self) -> None:
         """Close the connection (idempotent)."""
         if self._sock is None:
@@ -495,98 +492,39 @@ class ServingClient:
     # Wire mechanics
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _transport_form(wires, grid):
-        """``(packed bitset, grid)`` of the caller's batch."""
-        if isinstance(wires, SpikeTrainBatch):
-            return wires.packbits(), wires.grid
-        if grid is None:
-            raise ServingError(
-                protocol.ERR_BAD_FRAME,
-                "a raw packed array needs an explicit grid",
-            )
-        return np.asarray(wires, dtype=np.uint8), grid
-
-    def _round_trip(
-        self, packed, grid, *, mode, start_slot=0, limit=None, n_shards=0
-    ):
-        """Send one request, collect shard frames until done/error."""
+    def _call(self, reply, terminal: int, encode):
+        """Send one request, collect its frames by id, merge the reply."""
 
         def issue():
             request_id = next(self._request_ids)
-            # sendmsg scatter-gathers the header and the caller's
-            # bitset straight from their own buffers — no concatenation
-            # copy of the payload on the way out.
-            self._sock.sendmsg(
-                protocol.encode_request_parts(
-                    packed,
-                    grid.n_samples,
-                    grid.dt,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            return self._collect(request_id)
+            self._send(encode(request_id))
+            return reply(*self._collect(request_id, terminal))
 
         return self._retrying(issue)
 
-    def _corpus_round_trip(
-        self, corpus, row_start, row_stop, *, mode,
-        start_slot=0, limit=None, n_shards=0,
-    ):
-        """Send one corpus query, collect shard frames until done/error."""
+    def _send(self, encoded) -> None:
+        """Send every byte of one encoded request, the payload uncopied.
 
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
-                protocol.encode_corpus_query(
-                    corpus,
-                    row_start,
-                    row_stop,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            return self._collect(request_id)
+        ``sendmsg`` scatter-gathers the header and the caller's bitset
+        straight from their own buffers — but on a socket with a
+        timeout it may take only part of them.  The rest goes out
+        through ``sendall`` on memoryview slices: no byte is dropped
+        (the server would wait for the rest of the frame forever), and
+        the payload is still never concatenated.
+        """
+        parts = _buffers(encoded)
+        sent = self._sock.sendmsg(parts)
+        for part in parts:
+            if sent < len(part):
+                self._sock.sendall(part[sent:])
+            sent = max(0, sent - len(part))
 
-        return self._retrying(issue)
+    def _collect(self, request_id: int, terminal: int):
+        """One request's ``(shards, payload)`` up to its terminal frame.
 
-    def _logicnet_round_trip(
-        self, seed, net_start, net_stop, *, n_gates, depth, n_shards=0
-    ):
-        """Send one logicnet query, collect shard frames until done/error."""
-
-        def issue():
-            request_id = next(self._request_ids)
-            self._sock.sendall(
-                protocol.encode_logicnet_query(
-                    seed,
-                    net_start,
-                    net_stop,
-                    n_gates=n_gates,
-                    depth=depth,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            return self._collect(request_id)
-
-        return self._retrying(issue)
-
-    def _collect(self, request_id):
-        """Collect one request's response stream until DONE (or error)."""
+        An ERROR frame — on this request or connection-scope (request
+        id 0) — raises the typed error it carries instead.
+        """
         shards: List[dict] = []
         while True:
             frame = self._next_frame()
@@ -596,22 +534,19 @@ class ServingClient:
                     f"response for request {frame.request_id}, "
                     f"expected {request_id}",
                 )
-            payload = _parse_response(frame)
-            if frame.frame_type == protocol.FRAME_ERROR:
-                _raise_server_error(payload)
-            if frame.frame_type in (
-                protocol.FRAME_SHARD,
-                protocol.FRAME_RESULT,
-            ):
-                shards.append(payload)
+            if frame.frame_type == protocol.FRAME_RESULT:
+                shards.append(protocol.parse_result_frame(frame))
                 continue
-            if frame.frame_type == protocol.FRAME_DONE:
-                shards.sort(key=lambda shard: shard["row_start"])
-                return shards, payload
-            raise ProtocolError(
-                protocol.ERR_BAD_TYPE,
-                f"unexpected frame type 0x{frame.frame_type:02x}",
-            )
+            payload = protocol.parse_json_frame(frame)
+            if frame.frame_type == protocol.FRAME_ERROR:
+                raise _server_error(payload)
+            if frame.frame_type != terminal:
+                raise ProtocolError(
+                    protocol.ERR_BAD_TYPE,
+                    f"unexpected frame type 0x{frame.frame_type:02x}",
+                )
+            shards.sort(key=lambda shard: shard["row_start"])
+            return shards, payload
 
     def _next_frame(self) -> protocol.Frame:
         """Read from the socket until one complete frame arrives.
@@ -632,13 +567,13 @@ class ServingClient:
 
 @dataclass
 class _Inflight:
-    """One pipelined request awaiting its DONE (or STATS reply)."""
+    """One pipelined request awaiting its terminal frame."""
 
     future: asyncio.Future
     shards: List[dict] = field(default_factory=list)
 
 
-class AsyncServingClient:
+class AsyncServingClient(_RequestAPI):
     """Pipelined asyncio client: many requests in flight per connection.
 
     A background reader task demuxes the server's interleaved response
@@ -653,9 +588,9 @@ class AsyncServingClient:
 
     This is what makes the server's coalescing window reachable from a
     single process: requests issued together arrive together.  The
-    request API mirrors :class:`ServingClient` (same replies, same
-    defaults — including ``retry`` / ``deadline_ms``); ``version``
-    picks the response encoding, binary result frames by default.
+    request API is :class:`ServingClient`'s (same replies, same
+    defaults — including ``retry`` / ``deadline_ms``); each method
+    returns a coroutine.
 
     A retried request reconnects first; because the connection is
     shared, one reconnect serves every concurrent coroutine whose
@@ -668,18 +603,11 @@ class AsyncServingClient:
     def __init__(
         self,
         *,
-        version: int = protocol.PROTOCOL_VERSION,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> None:
-        if version not in protocol.SUPPORTED_VERSIONS:
-            raise ProtocolError(
-                protocol.ERR_BAD_VERSION,
-                f"cannot speak protocol version {version}",
-            )
-        self._version = int(version)
-        self._deadline_ms = protocol._check_deadline_ms(deadline_ms, version)
+        self._deadline_ms = protocol._check_deadline_ms(deadline_ms)
         self._retry = retry
         self._max_frame_bytes = int(max_frame_bytes)
         self._host: Optional[str] = None
@@ -699,14 +627,12 @@ class AsyncServingClient:
         host: str,
         port: int,
         *,
-        version: int = protocol.PROTOCOL_VERSION,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: int = 0,
     ) -> "AsyncServingClient":
         """Connect and start the demux reader."""
         client = cls(
-            version=version,
             max_frame_bytes=max_frame_bytes,
             retry=retry,
             deadline_ms=deadline_ms,
@@ -772,128 +698,6 @@ class AsyncServingClient:
                     continue  # next attempt backs off and retries
         raise AssertionError("unreachable")  # pragma: no cover
 
-    # ------------------------------------------------------------------
-    # Request API
-    # ------------------------------------------------------------------
-
-    async def identify(
-        self,
-        wires: Union[SpikeTrainBatch, np.ndarray],
-        grid: Optional[SimulationGrid] = None,
-        *,
-        start_slot: int = 0,
-        n_shards: int = 0,
-    ) -> IdentifyReply:
-        """Identify every wire in ``wires`` against the server's basis."""
-        packed, grid = ServingClient._transport_form(wires, grid)
-        shards, summary = await self._round_trip(
-            packed, grid, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
-        )
-        return _identify_reply(shards, summary)
-
-    async def membership(
-        self,
-        wires: Union[SpikeTrainBatch, np.ndarray],
-        grid: Optional[SimulationGrid] = None,
-        *,
-        until_slot: Optional[int] = None,
-        n_shards: int = 0,
-    ) -> MembershipReply:
-        """Set-membership readout of every wire against the basis."""
-        packed, grid = ServingClient._transport_form(wires, grid)
-        shards, summary = await self._round_trip(
-            packed, grid, mode="membership",
-            limit=until_slot, n_shards=n_shards,
-        )
-        return _membership_reply(shards, summary)
-
-    async def corpus_identify(
-        self,
-        corpus: str,
-        row_start: int,
-        row_stop: int,
-        *,
-        start_slot: int = 0,
-        n_shards: int = 0,
-    ) -> IdentifyReply:
-        """Identify a server-hosted corpus row range (pipelined)."""
-        shards, summary = await self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="identify",
-            start_slot=start_slot, n_shards=n_shards,
-        )
-        return _identify_reply(shards, summary)
-
-    async def corpus_membership(
-        self,
-        corpus: str,
-        row_start: int,
-        row_stop: int,
-        *,
-        until_slot: Optional[int] = None,
-        n_shards: int = 0,
-    ) -> MembershipReply:
-        """Membership readout of a server-hosted corpus range (pipelined)."""
-        shards, summary = await self._corpus_round_trip(
-            corpus, row_start, row_stop, mode="membership",
-            limit=until_slot, n_shards=n_shards,
-        )
-        return _membership_reply(shards, summary)
-
-    async def logicnet(
-        self,
-        seed: int,
-        net_start: int,
-        net_stop: int,
-        *,
-        n_gates: int,
-        depth: int,
-        n_shards: int = 0,
-    ) -> LogicNetReply:
-        """Evaluate a seeded network family's range (pipelined)."""
-        shards, summary = await self._logicnet_round_trip(
-            seed, net_start, net_stop,
-            n_gates=n_gates, depth=depth, n_shards=n_shards,
-        )
-        return _logicnet_reply(shards, summary)
-
-    async def ping(self) -> dict:
-        """One PING/PONG health round-trip (shares the pipelined demux)."""
-
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_ping(request_id, version=self._version)
-            )
-            await self._writer.drain()
-            _, payload = await entry.future
-            return payload
-
-        return await self._retrying(issue)
-
-    async def stats(self, scope: Optional[str] = None) -> dict:
-        """The server's stats snapshot (shares the pipelined demux).
-
-        ``scope`` as in :meth:`ServingClient.stats` — cluster-wide by
-        default against a multi-worker server, ``"local"`` for the one
-        worker holding this connection.
-        """
-
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_stats_request(
-                    request_id, version=self._version, scope=scope
-                )
-            )
-            await self._writer.drain()
-            _, payload = await entry.future
-            return payload
-
-        return await self._retrying(issue)
-
     async def aclose(self) -> None:
         """Stop the reader, fail anything still pending, close the socket."""
         if self._reader_task is not None:
@@ -941,88 +745,19 @@ class AsyncServingClient:
         self._inflight[request_id] = entry
         return entry
 
-    async def _round_trip(
-        self, packed, grid, *, mode, start_slot=0, limit=None, n_shards=0
-    ):
+    async def _call(self, reply, terminal: int, encode):
+        """Send one request, await its frames by id, merge the reply."""
+
         async def issue():
             request_id = next(self._request_ids)
             entry = self._register(request_id)
             # writelines hands the header and the caller's bitset to
             # the transport as separate buffers — no concatenation copy
-            # — and both parts enqueue in one synchronous call, so
+            # — and every part enqueues in one synchronous call, so
             # concurrent requests cannot interleave their bytes.
-            self._writer.writelines(
-                protocol.encode_request_parts(
-                    packed,
-                    grid.n_samples,
-                    grid.dt,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
+            self._writer.writelines(_buffers(encode(request_id)))
             await self._writer.drain()
-            shards, summary = await entry.future
-            shards.sort(key=lambda shard: shard["row_start"])
-            return shards, summary
-
-        return await self._retrying(issue)
-
-    async def _corpus_round_trip(
-        self, corpus, row_start, row_stop, *, mode,
-        start_slot=0, limit=None, n_shards=0,
-    ):
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_corpus_query(
-                    corpus,
-                    row_start,
-                    row_stop,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            await self._writer.drain()
-            shards, summary = await entry.future
-            shards.sort(key=lambda shard: shard["row_start"])
-            return shards, summary
-
-        return await self._retrying(issue)
-
-    async def _logicnet_round_trip(
-        self, seed, net_start, net_stop, *, n_gates, depth, n_shards=0
-    ):
-        async def issue():
-            request_id = next(self._request_ids)
-            entry = self._register(request_id)
-            self._writer.write(
-                protocol.encode_logicnet_query(
-                    seed,
-                    net_start,
-                    net_stop,
-                    n_gates=n_gates,
-                    depth=depth,
-                    n_shards=n_shards,
-                    request_id=request_id,
-                    version=self._version,
-                    deadline_ms=self._deadline_ms,
-                )
-            )
-            await self._writer.drain()
-            shards, summary = await entry.future
-            shards.sort(key=lambda shard: shard["row_start"])
-            return shards, summary
+            return reply(*await entry.future)
 
         return await self._retrying(issue)
 
@@ -1048,12 +783,7 @@ class AsyncServingClient:
 
     def _dispatch(self, frame: protocol.Frame) -> None:
         if frame.frame_type == protocol.FRAME_ERROR:
-            payload = protocol.parse_json_frame(frame)
-            error = ServingError(
-                int(payload.get("code", protocol.ERR_INTERNAL)),
-                f"server error {payload.get('error', 'UNKNOWN')}: "
-                f"{payload.get('message', '')}",
-            )
+            error = _server_error(protocol.parse_json_frame(frame))
             if frame.request_id == 0:
                 # Connection-scope error: the stream is done for.
                 self._fail_all(error)
@@ -1068,8 +798,8 @@ class AsyncServingClient:
                 protocol.ERR_BAD_FRAME,
                 f"response for unknown request {frame.request_id}",
             )
-        if frame.frame_type in (protocol.FRAME_SHARD, protocol.FRAME_RESULT):
-            entry.shards.append(_parse_response(frame))
+        if frame.frame_type == protocol.FRAME_RESULT:
+            entry.shards.append(protocol.parse_result_frame(frame))
             return
         if frame.frame_type in (
             protocol.FRAME_DONE,
@@ -1078,6 +808,7 @@ class AsyncServingClient:
         ):
             self._inflight.pop(frame.request_id, None)
             if not entry.future.done():
+                entry.shards.sort(key=lambda shard: shard["row_start"])
                 entry.future.set_result(
                     (entry.shards, protocol.parse_json_frame(frame))
                 )

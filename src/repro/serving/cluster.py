@@ -145,8 +145,8 @@ class ClusterStatsBlock:
         Same counter keys as a single server's snapshot (summed), with
         latency quantiles over the pooled rings, plus the additive
         cluster keys ``scope``/``workers``/``per_worker`` — clients
-        already tolerate unknown STATS keys, so a version-2 client
-        pointed at a cluster just sees bigger numbers.
+        already tolerate unknown STATS keys, so a client pointed at a
+        cluster just sees bigger numbers.
         """
         counters = self.counters.copy()
         totals = counters.sum(axis=0)

@@ -3,7 +3,7 @@
 The server splits each request's wire batch into contiguous row-range
 shards and runs every shard through one function —
 :func:`compute_shard` — whether the shard executes in-process or on a
-pool worker.  Equal inputs produce equal JSON-ready payloads, so the
+pool worker.  Equal inputs produce equal payloads, so the
 dispatch mechanism is invisible in the response, exactly as the
 pipeline's shard plans make sharded experiment runs bit-identical to
 serial ones.
@@ -19,23 +19,26 @@ Two transport pieces make the pool path zero-copy:
   A long-lived shared-memory export would fight the attachment cache's
   per-arena eviction (each request uses a fresh short-lived arena), so
   the basis deliberately travels by value, once.
-* **:class:`ShardTask`** — the per-shard pool task: the request
-  batch's :class:`~repro.backend.batch.SharedBatchHandle` plus a row
-  range and scan options.  Workers attach the request's shared segments
-  and wrap their row range as a *packed-primary view* of the mapped
-  bitset (:meth:`~repro.backend.batch.SpikeTrainBatch.from_shared`), so
-  shard compute runs the packed kernels straight on the pages the
-  server wrote — the payload is never unpacked to a raster anywhere,
-  and every shard payload reports its batch's representation residency
-  to prove it.
+* **:class:`ShardTask`** — the one per-shard pool task of every
+  kind, run by the one pool target :func:`run_shard`.  A bitset shard
+  carries the request batch's
+  :class:`~repro.backend.batch.SharedBatchHandle` plus a row range and
+  scan options; workers attach the request's shared segments and wrap
+  their row range as a *packed-primary view* of the mapped bitset
+  (:meth:`~repro.backend.batch.SpikeTrainBatch.from_shared`), so shard
+  compute runs the packed kernels straight on the pages the server
+  wrote — the payload is never unpacked to a raster anywhere, and
+  every shard payload reports its batch's representation residency to
+  prove it.  A logicnet shard is a network range plus the family's
+  seed and shape (:func:`compute_logicnet_shard`).
 """
 
 from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,14 +54,12 @@ from .protocol import ERR_INTERNAL
 __all__ = [
     "BasisTable",
     "ShardTask",
-    "LogicNetShardTask",
     "export_basis",
     "install_basis",
     "discard_basis",
     "installed_basis",
     "run_shard",
     "compute_shard",
-    "run_logicnet_shard",
     "compute_logicnet_shard",
 ]
 
@@ -84,38 +85,25 @@ class BasisTable:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One serving shard: a row range of a shared request batch.
+    """One pool shard: rows ``[row_start, row_stop)`` of one request.
 
-    Pickles as metadata only — the wire payload stays in the server's
-    per-request :class:`~repro.backend.shared.SharedArena` and the
-    worker attaches it.
+    ``mode`` picks the compute core and ``options`` are its keyword
+    arguments.  Bitset shards carry the request batch's
+    :class:`~repro.backend.batch.SharedBatchHandle` in ``wires`` — the
+    payload stays in the server's per-request
+    :class:`~repro.backend.shared.SharedArena` and the worker attaches
+    it.  Logicnet shards carry no wires at all: their input lines are
+    the installed basis (referenced by token) and their networks
+    rebuild from the seed in ``options``.  Either way the task pickles
+    as metadata only.
     """
 
     token: str
-    wires: SharedBatchHandle
+    mode: str
     row_start: int
     row_stop: int
-    mode: str
-    start_slot: int = 0
-    limit: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class LogicNetShardTask:
-    """One logicnet serving shard: a network range of a seeded family.
-
-    Unlike :class:`ShardTask` there is no shared payload at all — the
-    input lines are the installed basis (referenced by token) and the
-    networks rebuild from ``spawn_rng(seed, i)`` spawn keys, so the
-    task pickles as a handful of integers.
-    """
-
-    token: str
-    seed: int
-    n_gates: int
-    depth: int
-    net_start: int
-    net_stop: int
+    options: Dict[str, Any] = field(default_factory=dict)
+    wires: Optional[SharedBatchHandle] = None
 
 
 #: token → installed basis, per process.  Populated in the server
@@ -174,19 +162,25 @@ def installed_basis(token: str) -> HyperspaceBasis:
 
 
 def run_shard(task: ShardTask) -> dict:
-    """Pool target: attach the shard's rows and compute its payload."""
+    """Pool target: compute one shard against the installed basis.
+
+    Bitset shards attach their rows of the shared request batch;
+    logicnet shards rebuild their networks.  Both fire the
+    ``serving.run_shard`` fault point, so the supervision ladder
+    (resubmit → respawn → inline) covers every kind identically.
+    """
     faults.maybe_fire("serving.run_shard")
+    basis = installed_basis(task.token)
+    if task.mode == "logicnet":
+        return compute_logicnet_shard(
+            basis, task.row_start, task.row_stop, **task.options
+        )
     rows = SpikeTrainBatch.from_shared(
         task.wires, rows=(task.row_start, task.row_stop)
     )
     return compute_shard(
-        installed_basis(task.token),
-        rows,
-        task.row_start,
-        task.row_stop,
-        mode=task.mode,
-        start_slot=task.start_slot,
-        limit=task.limit,
+        basis, rows, task.row_start, task.row_stop, mode=task.mode,
+        **task.options,
     )
 
 
@@ -203,11 +197,8 @@ def compute_shard(
     """Run one shard's receiver pass and return its payload dict.
 
     The common core of the pool, in-process, fast and coalesced paths.
-    Array fields stay NumPy arrays (``membership`` boolean) — the
-    response encoder picks the wire form at the boundary: version-2
-    binary result frames ship the buffers directly, the version-1 JSON
-    path converts through
-    :func:`~repro.serving.protocol.jsonable_payload`.  ``rows`` is
+    Array fields stay NumPy arrays (``membership`` boolean): the
+    binary result frame ships their buffers directly.  ``rows`` is
     expected packed-primary; the payload's ``residency`` block records
     which representations the batch held *after* the pass, which is how
     the integration tests (and any auditing client) verify the bitset
@@ -233,45 +224,17 @@ def compute_shard(
         }
     else:
         raise ServingError(ERR_INTERNAL, f"unknown shard mode {mode!r}")
-    body.update(
-        row_start=int(row_start),
-        row_stop=int(row_stop),
-        wall_seconds=time.perf_counter() - started,
-        residency={
-            "packed": rows.packed_materialised,
-            "csr": rows.csr_materialised,
-            "raster": rows.raster_materialised,
-        },
-    )
-    return body
-
-
-def run_logicnet_shard(task: LogicNetShardTask) -> dict:
-    """Pool target: rebuild the shard's networks and evaluate them.
-
-    Fires the same ``serving.run_shard`` fault point as bitset shards,
-    so the supervision ladder (resubmit → respawn → inline) covers
-    logicnet traffic identically.
-    """
-    faults.maybe_fire("serving.run_shard")
-    return compute_logicnet_shard(
-        installed_basis(task.token),
-        seed=task.seed,
-        n_gates=task.n_gates,
-        depth=task.depth,
-        net_start=task.net_start,
-        net_stop=task.net_stop,
-    )
+    return _stamped(body, rows, row_start, row_stop, started)
 
 
 def compute_logicnet_shard(
     basis: HyperspaceBasis,
+    net_start: int,
+    net_stop: int,
     *,
     seed: int,
     n_gates: int,
     depth: int,
-    net_start: int,
-    net_stop: int,
 ) -> dict:
     """Evaluate networks ``[net_start, net_stop)`` against ``basis``.
 
@@ -297,15 +260,23 @@ def compute_logicnet_shard(
     popcounts, checksums = nets.evaluate(
         inputs.packed_words(), inputs.grid.n_samples
     )
-    return {
-        "popcounts": popcounts,
-        "checksums": checksums,
-        "row_start": int(net_start),
-        "row_stop": int(net_stop),
-        "wall_seconds": time.perf_counter() - started,
-        "residency": {
-            "packed": inputs.packed_materialised,
-            "csr": inputs.csr_materialised,
-            "raster": inputs.raster_materialised,
+    body = {"popcounts": popcounts, "checksums": checksums}
+    return _stamped(body, inputs, net_start, net_stop, started)
+
+
+def _stamped(
+    body: dict, batch: SpikeTrainBatch, row_start: int, row_stop: int,
+    started: float,
+) -> dict:
+    """Add the row range, wall time and ``batch`` residency to a body."""
+    body.update(
+        row_start=int(row_start),
+        row_stop=int(row_stop),
+        wall_seconds=time.perf_counter() - started,
+        residency={
+            "packed": batch.packed_materialised,
+            "csr": batch.csr_materialised,
+            "raster": batch.raster_materialised,
         },
-    }
+    )
+    return body

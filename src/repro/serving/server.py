@@ -15,17 +15,27 @@ four existing layers without the payload ever unpacking to a raster:
    from a popcount pass, still no decode);
 3. contiguous row-range :class:`~repro.serving.dispatch.ShardTask`\\ s
    dispatch onto the :class:`~repro.pipeline.runner.Runner`'s
-   persistent pool (``Runner.submit``), where workers attach the
-   mapped bitset and run the packed receiver kernels on it;
-4. each shard's result streams back to the client as one JSON frame,
-   in shard order as results complete (a slow early shard delays the
-   later shards' *frames*, never their compute), followed by a summary
-   frame recording wall time and the server batch's representation
-   residency.
+   persistent pool (``Runner.supervised_results``), where workers
+   attach the mapped bitset and run the packed receiver kernels on it;
+4. each shard's result streams back to the client as one binary result
+   frame, in shard order as results complete (a slow early shard
+   delays the later shards' *frames*, never their compute), followed
+   by a summary frame recording wall time and the shard batches'
+   representation residency.
 
 Single-job servers (or hosts without shared memory) run the same
 shards in-process on a worker thread — bit-identical results, one code
 path for the compute (:func:`~repro.serving.dispatch.compute_shard`).
+
+Every compute frame kind — identify, membership, corpus query,
+logicnet — takes that one request path (``SpikeServer._serve``).  A
+private kind table supplies only what differs between kinds (parse,
+check, shard plan, the DONE summary's extra keys); error answering,
+deadlines, budget admission, shard streaming, the STATS counters and
+the DONE frame live in the path, once.  Corpus queries plan chunks
+computed one at a time off the server's memmap; logicnet queries plan
+seed-rebuild tasks, which the pool runs through the same supervised
+fan-out as bitset shards.
 
 Three hot-path optimisations sit in front of that sharded pipeline,
 all serving bit-identical results through the same
@@ -73,14 +83,26 @@ behind ``repro serve``.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import pathlib
 import socket
 import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -133,7 +155,7 @@ class ServerConfig:
     single :class:`SpikeServer` ignores the field.
 
     ``corpus`` names a :class:`~repro.pipeline.corpus.CorpusStore`
-    directory to host read-only: the server then answers version-3
+    directory to host read-only: the server then answers
     ``FRAME_CORPUS_QUERY`` requests against it (by the directory's
     basename), computing chunk-at-a-time straight off the memmap —
     ``corpus_chunk_rows`` caps the rows any one chunk maps and
@@ -290,6 +312,10 @@ class _Coalescer:
         self._timers: Dict[tuple, asyncio.TimerHandle] = {}
         self._flushes: Set[asyncio.Task] = set()
 
+    def results(self, request: protocol.Request) -> Iterator[Awaitable[dict]]:
+        """The request's one shard result: its slice of the batch."""
+        yield self.submit(request)
+
     async def submit(self, request: protocol.Request) -> dict:
         """Buffer one request; resolves to its slice of the batch result."""
         loop = asyncio.get_running_loop()
@@ -325,32 +351,24 @@ class _Coalescer:
             batch = SpikeTrainBatch.from_packed(
                 packed, self._server.basis.grid
             )
-            n_total = int(packed.shape[0])
+            compute = partial(
+                dispatch.compute_shard,
+                self._server.basis,
+                batch,
+                0,
+                int(packed.shape[0]),
+                mode=mode,
+                start_slot=start_slot,
+                limit=limit,
+            )
             if packed.nbytes <= self._server.config.fast_path_bytes:
                 # Micro-batches are fast-path-sized by construction:
                 # the receiver pass is cheaper than a thread handoff
                 # (the same trade the fast path makes), so compute
                 # inline on the loop.
-                payload = dispatch.compute_shard(
-                    self._server.basis,
-                    batch,
-                    0,
-                    n_total,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                )
+                payload = compute()
             else:
-                payload = await asyncio.to_thread(
-                    dispatch.compute_shard,
-                    self._server.basis,
-                    batch,
-                    0,
-                    n_total,
-                    mode=mode,
-                    start_slot=start_slot,
-                    limit=limit,
-                )
+                payload = await asyncio.to_thread(compute)
             self._server.stats.coalesced_batches += 1
             lo = 0
             for request, future in bucket:
@@ -478,9 +496,9 @@ class _Connection(asyncio.BufferedProtocol):
     its request id, and each is written atomically (one ``write()``
     per frame).  Framing errors (bad magic / version / length) poison
     the byte stream: in-flight requests finish answering, then one
-    connection-scope error frame (request id 0, stamped version 1 so
-    every client decodes it) closes the connection.  Request-level
-    errors are answered upstream and keep the connection alive.
+    connection-scope error frame (request id 0) closes the connection.
+    Request-level errors are answered upstream and keep the connection
+    alive.
 
     The object doubles as the writer handed to the request handlers:
     ``write``/``drain`` front the transport with its high-water flow
@@ -601,9 +619,7 @@ class _Connection(asyncio.BufferedProtocol):
         # connection — the stream boundary is lost.
         await self._settle()
         try:
-            self.write(
-                protocol.encode_error(0, exc.code, str(exc), version=1)
-            )
+            self.write(protocol.encode_error(0, exc.code, str(exc)))
             await self.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -849,8 +865,10 @@ class SpikeServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _send(self, writer: "_Connection", frame: bytes) -> None:
-        """Write one encoded frame and respect the transport's flow control."""
+    async def _send(
+        self, writer: "_Connection", frame: bytes, *, drain: bool = True
+    ) -> None:
+        """Write one encoded frame; ``drain`` waits out flow control."""
         fault = faults.maybe_fire("serving.send_frame")
         if fault is not None and fault.action == "truncate":
             # Chaos harness: deliver a prefix of the frame and drop the
@@ -859,18 +877,13 @@ class SpikeServer:
             writer.close()
             raise ConnectionResetError("fault injected: frame truncated")
         writer.write(frame)
-        await writer.drain()
+        if drain:
+            await writer.drain()
 
     async def _handle_frame(
         self, frame: protocol.Frame, writer: "_Connection"
     ) -> None:
-        """Parse, route, process and answer one frame.
-
-        Only the sharded route passes through the in-flight byte
-        budget: fast-path and coalesced requests never pin an arena,
-        so charging them would let a burst of tiny requests queue
-        behind (or spuriously OVERLOAD) real arena work.
-        """
+        """Answer STATS and PING inline; serve every other frame."""
         if frame.frame_type == protocol.FRAME_STATS:
             # Clustered workers answer cluster-wide counters unless the
             # client explicitly asked for this worker's ("local").  A
@@ -883,10 +896,7 @@ class SpikeServer:
             await self._send(
                 writer,
                 protocol.encode_json_frame(
-                    protocol.FRAME_STATS_REPLY,
-                    frame.request_id,
-                    payload,
-                    version=frame.version,
+                    protocol.FRAME_STATS_REPLY, frame.request_id, payload
                 ),
             )
             return
@@ -912,7 +922,6 @@ class SpikeServer:
                             else None
                         ),
                     },
-                    version=frame.version,
                 ),
             )
             return
@@ -928,102 +937,121 @@ class SpikeServer:
                         frame.request_id,
                         protocol.ERR_RETRYABLE,
                         "server is draining for shutdown; retry the request",
-                        version=frame.version,
                     ),
                 )
             except (ConnectionResetError, BrokenPipeError):
                 pass
             return
         faults.maybe_fire("serving.handle_frame")
-        if frame.frame_type == protocol.FRAME_CORPUS_QUERY:
-            await self._handle_corpus_query(frame, writer)
-            return
-        if frame.frame_type == protocol.FRAME_LOGICNET:
-            await self._handle_logicnet(frame, writer)
-            return
+        await self._serve(frame, writer)
+
+    async def _serve(
+        self, frame: protocol.Frame, writer: "_Connection"
+    ) -> None:
+        """Serve one compute frame of any kind: the one request path.
+
+        The frame's :data:`_KINDS` entry supplies only what differs
+        between kinds — parse, check, shard plan, the DONE summary's
+        extra keys.  Everything else happens here, once: the deadline,
+        in-flight budget admission (only plans that pin an arena
+        charge it — fast-path and coalesced requests pin nothing, so
+        charging them would let a burst of tiny requests queue behind,
+        or spuriously OVERLOAD, real arena work), streaming each
+        shard's result frame, ``stats.record`` and the DONE frame.  Any
+        failure answers exactly one typed error frame and no DONE: a
+        :class:`~repro.errors.ServingError` (parse errors included)
+        with its own code, anything unexpected as ``ERR_INTERNAL``.
+        """
+        loop = asyncio.get_running_loop()
         try:
-            request = protocol.parse_request(frame)
-        except ProtocolError as exc:
-            self.stats.errors += 1
+            kind = _KINDS.get(frame.frame_type)
+            if kind is None:
+                raise ProtocolError(
+                    protocol.ERR_BAD_TYPE,
+                    f"frame type 0x{frame.frame_type:02x} is not a request",
+                )
+            query = kind.parse(frame)
+            deadline = self._deadline_at(query.deadline_ms)
+            kind.check(self, query)
+            plan = kind.plan(self, query)
+            if plan.budget_bytes:
+                await self._acquire_budget(plan.budget_bytes, deadline)
+            try:
+                started = loop.time()
+                residency = await self._stream(plan, query, writer, deadline)
+                wall_seconds = loop.time() - started
+            finally:
+                if plan.budget_bytes:
+                    await self._budget.release(plan.budget_bytes)
+            summary = {
+                "kind": "done",
+                "mode": query.mode,
+                "n_shards": plan.n_shards,
+                "labels": list(self.basis.labels),
+                "transport": plan.transport,
+                "wall_seconds": wall_seconds,
+                "server_residency": residency,
+                **kind.done_keys(query),
+            }
+            # Recorded before the DONE frame leaves the process: a
+            # client that holds the reply must find the request in the
+            # counters, even when its next STATS lands on a clustered
+            # sibling.
+            self.stats.record(plan.transport, wall_seconds)
             await self._send(
                 writer,
-                protocol.encode_error(
-                    frame.request_id, exc.code, str(exc), version=frame.version
+                protocol.encode_json_frame(
+                    protocol.FRAME_DONE, frame.request_id, summary
                 ),
             )
-            return
-        deadline = self._deadline_at(request.deadline_ms)
-        try:
-            self._check_grid(request)
-            transport = self._route(request)
-            if transport == "sharded":
-                await self._acquire_budget(request.packed.nbytes, deadline)
-                try:
-                    await self._process(request, writer, deadline)
-                finally:
-                    await self._budget.release(request.packed.nbytes)
-            elif transport == "coalesced":
-                self._check_deadline(deadline, "before coalescing")
-                await self._process_coalesced(request, writer)
-            else:
-                self._check_deadline(deadline, "before compute")
-                await self._process_fast(request, writer)
         except (ConnectionResetError, BrokenPipeError):
             raise
-        except ServingError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    request.request_id,
-                    exc.code,
-                    str(exc),
-                    version=request.version,
-                ),
-            )
         except Exception as exc:  # noqa: BLE001 - must answer the client
             self.stats.errors += 1
+            if isinstance(exc, ServingError):
+                code, message = exc.code, str(exc)
+            else:
+                code = protocol.ERR_INTERNAL
+                message = f"{type(exc).__name__}: {exc}"
             await self._send(
-                writer,
-                protocol.encode_error(
-                    request.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    version=request.version,
-                ),
+                writer, protocol.encode_error(frame.request_id, code, message)
             )
 
-    def _route(self, request: protocol.Request) -> str:
-        """Pick the transport for one admitted request.
+    async def _stream(self, plan: "_Plan", query, writer, deadline) -> dict:
+        """Write each shard result of ``plan`` as it lands.
 
-        Explicit sharding (a nonzero request or config shard count)
-        always takes the sharded pipeline; below that, payloads within
-        ``fast_path_bytes`` go to the coalescer when one is running,
-        else straight to the fast path.
+        Results arrive in shard order, one at a time (on the pool, a
+        slow early shard delays the later shards' *frames*, never their
+        compute).  The deadline is checked before each shard: once it
+        passes, no further shard is awaited or streamed and the request
+        fails with ``ERR_DEADLINE``.  Every shard frame but the last
+        drains; the last leaves with the DONE frame's drain, so a
+        single-shard reply (fast path, coalesced) costs one
+        flow-control round trip.  Returns the shards' merged
+        representation residency.
         """
-        wants_shards = bool(request.n_shards or self.config.n_shards)
-        if wants_shards or request.packed.nbytes > self.config.fast_path_bytes:
-            return "sharded"
-        if (
-            self._coalescer is not None
-            and request.n_wires <= self.config.coalesce_max_wires
-        ):
-            return "coalesced"
-        return "fast-path"
-
-    def _check_grid(self, request: protocol.Request) -> None:
-        """Requests must live on the server basis's exact grid."""
-        grid = self.basis.grid
-        if request.n_samples != grid.n_samples or request.dt != grid.dt:
-            raise ServingError(
-                protocol.ERR_BAD_GRID,
-                f"request grid (n_samples={request.n_samples}, "
-                f"dt={request.dt}) does not match the serving basis grid "
-                f"(n_samples={grid.n_samples}, dt={grid.dt})",
-            )
+        residency = {"packed": False, "csr": False, "raster": False}
+        try:
+            for index in range(plan.n_shards):
+                self._check_deadline(deadline, "while streaming shards")
+                payload = await next(plan.shards)
+                for key in residency:
+                    residency[key] |= bool(payload["residency"][key])
+                await self._send(
+                    writer,
+                    protocol.encode_result_frame(
+                        query.request_id, payload, mode=query.mode
+                    ),
+                    drain=index + 1 < plan.n_shards,
+                )
+        finally:
+            # Ends the plan's stream early on failure — a pool plan's
+            # arena closes here, before the budget bytes release.
+            plan.shards.close()
+        return residency
 
     # ------------------------------------------------------------------
-    # Deadlines (protocol version 4)
+    # Deadlines and budget admission
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -1084,231 +1112,114 @@ class SpikeServer:
         )
 
     # ------------------------------------------------------------------
-    # Request processing
+    # The kinds: checks and shard plans
     # ------------------------------------------------------------------
 
-    def _shard_bounds(self, request: protocol.Request) -> np.ndarray:
-        """Row boundaries of the request's shard plan.
+    def _check_grid(self, request: protocol.Request) -> None:
+        """Bitset requests must live on the server basis's exact grid."""
+        grid = self.basis.grid
+        if request.n_samples != grid.n_samples or request.dt != grid.dt:
+            raise ServingError(
+                protocol.ERR_BAD_GRID,
+                f"request grid (n_samples={request.n_samples}, "
+                f"dt={request.dt}) does not match the serving basis grid "
+                f"(n_samples={grid.n_samples}, dt={grid.dt})",
+            )
 
-        The requested shard count (0: the server default, itself
-        defaulting to one shard per worker of the *runner actually
-        dispatching* — which may be a shared runner with more jobs
-        than the config names) is clamped to the wire count; like the
-        pipeline's shard plans, the split depends only on the request,
-        never on which workers pick the shards up.
+    def _plan_bitset(self, request: protocol.Request) -> "_Plan":
+        """Route one bitset request: sharded, coalesced or fast path.
+
+        Explicit sharding (a nonzero request or config shard count) and
+        payloads over ``fast_path_bytes`` take the sharded pipeline —
+        over the pool through a per-request arena, else in-process on a
+        worker thread — and only they charge the in-flight budget.
+        Below that, payloads go to the coalescer when one is running,
+        else straight to the fast path, computed inline on the loop:
+        below the size cap a receiver pass is far cheaper than a thread
+        handoff, and the packed kernels release no locks a worker
+        thread could exploit anyway.
         """
-        pool_jobs = (
-            self._runner.jobs if self._runner is not None else self.config.jobs
-        )
-        wanted = request.n_shards or self.config.n_shards or max(1, pool_jobs)
-        n_shards = max(1, min(int(wanted), request.n_wires))
-        return np.linspace(0, request.n_wires, n_shards + 1).astype(np.int64)
-
-    def _shard_frame(
-        self, request: protocol.Request, payload: dict
-    ) -> bytes:
-        """Encode one shard payload in the request's negotiated version."""
-        if request.version >= 2:
-            return protocol.encode_result_frame(
-                request.request_id,
-                payload,
-                mode=request.mode,
-                version=request.version,
+        wants_shards = bool(request.n_shards or self.config.n_shards)
+        if wants_shards or request.packed.nbytes > self.config.fast_path_bytes:
+            batch = SpikeTrainBatch.from_packed(request.packed, request.grid())
+            # The default follows the runner actually dispatching —
+            # possibly a shared runner with more jobs than the config.
+            pool_jobs = (
+                self._runner.jobs
+                if self._runner is not None
+                else self.config.jobs
             )
-        body = protocol.jsonable_payload(payload)
-        body["kind"] = "shard"
-        return protocol.encode_json_frame(
-            protocol.FRAME_SHARD,
-            request.request_id,
-            body,
-            version=request.version,
-        )
-
-    async def _send_done(
-        self,
-        request: protocol.Request,
-        writer: "_Connection",
-        *,
-        transport: str,
-        n_shards: int,
-        wall_seconds: float,
-        batch: SpikeTrainBatch,
-    ) -> None:
-        """Send the summary frame closing one request's response."""
-        summary = {
-            "kind": "done",
-            "mode": request.mode,
-            "n_wires": request.n_wires,
-            "n_shards": n_shards,
-            "labels": list(self.basis.labels),
-            "transport": transport,
-            "wall_seconds": wall_seconds,
-            "server_residency": {
-                "packed": batch.packed_materialised,
-                "csr": batch.csr_materialised,
-                "raster": batch.raster_materialised,
-            },
-        }
-        # Recorded before the DONE frame leaves the process: a client
-        # that holds the reply must find the request in the counters,
-        # even when its next STATS lands on a clustered sibling.
-        self.stats.record(transport, wall_seconds)
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                request.request_id,
-                summary,
-                version=request.version,
-            ),
-        )
-
-    async def _process(
-        self,
-        request: protocol.Request,
-        writer: "_Connection",
-        deadline: Optional[float] = None,
-    ) -> str:
-        """Run one budget-admitted request through the sharded pipeline."""
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+            wanted = request.n_shards or self.config.n_shards or pool_jobs
+            ranges = _split(0, request.n_wires, wanted)
+            if self._use_pool():
+                shards = self._arena_shards(request, batch, ranges)
+                transport = "shared-arena"
+            else:
+                shards = _off_loop(
+                    partial(self._compute_rows, request, batch, lo, hi)
+                    for lo, hi in ranges
+                )
+                transport = "in-process"
+            return _Plan(transport, len(ranges), shards, request.packed.nbytes)
+        if (
+            self._coalescer is not None
+            and request.n_wires <= self.config.coalesce_max_wires
+        ):
+            return _Plan("coalesced", 1, self._coalescer.results(request))
         batch = SpikeTrainBatch.from_packed(request.packed, request.grid())
-        bounds = self._shard_bounds(request)
-        if self._use_pool():
-            transport = "shared-arena"
-            shards = await self._dispatch_pool(
-                request, batch, bounds, writer, deadline
-            )
-        else:
-            transport = "in-process"
-            shards = await self._dispatch_inline(
-                request, batch, bounds, writer, deadline
-            )
-        await self._send_done(
-            request,
-            writer,
-            transport=transport,
-            n_shards=len(shards),
-            wall_seconds=loop.time() - started,
-            batch=batch,
+        compute = partial(
+            self._compute_rows, request, batch, 0, request.n_wires
         )
-        return transport
+        return _Plan("fast-path", 1, _on_loop(compute))
 
-    async def _process_fast(
-        self, request: protocol.Request, writer: "_Connection"
-    ) -> None:
-        """Serve one small request inline: no arena, no pool, no budget.
+    def _compute_rows(self, request, batch, lo: int, hi: int) -> dict:
+        """One in-process shard: rows ``[lo, hi)`` of a request batch."""
+        rows = (
+            batch
+            if (lo, hi) == (0, request.n_wires)
+            else batch.select_rows(np.arange(lo, hi))
+        )
+        return dispatch.compute_shard(
+            self.basis, rows, lo, hi, mode=request.mode,
+            start_slot=request.start_slot, limit=request.limit,
+        )
 
-        The compute runs directly on the event loop — below the
-        fast-path size cap a receiver pass is far cheaper than a
-        thread handoff, and the packed kernels release no locks a
-        worker thread could exploit anyway.
+    def _arena_shards(self, request, batch, ranges):
+        """Pool shards of one request batch through a per-request arena.
+
+        The arena outlives every supervised result: a shard recovered
+        after a worker loss re-reads the same operands, so the stream
+        stays bit-identical to an undisturbed run.  It closes when the
+        stream ends (segments unlink once the last worker detaches;
+        the runner's release broadcast covers shutdown).
         """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        batch = SpikeTrainBatch.from_packed(request.packed, request.grid())
-        payload = dispatch.compute_shard(
-            self.basis,
-            batch,
-            0,
-            request.n_wires,
-            mode=request.mode,
-            start_slot=request.start_slot,
-            limit=request.limit,
-        )
-        # One drain covers both frames: the DONE send right after
-        # flushes the pair in a single flow-control round trip.
-        writer.write(self._shard_frame(request, payload))
-        await self._send_done(
-            request,
-            writer,
-            transport="fast-path",
-            n_shards=1,
-            wall_seconds=loop.time() - started,
-            batch=batch,
-        )
+        scan = {"start_slot": request.start_slot, "limit": request.limit}
+        with SharedArena() as arena:
+            wires = batch.to_shared(arena)
+            tasks = [
+                dispatch.ShardTask(
+                    self._basis_token, request.mode, lo, hi, scan, wires
+                )
+                for lo, hi in ranges
+            ]
+            yield from self._pooled(tasks)
 
-    async def _process_coalesced(
-        self, request: protocol.Request, writer: "_Connection"
-    ) -> None:
-        """Serve one small request through the micro-batch accumulator."""
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        payload = await self._coalescer.submit(request)
-        # One drain covers both frames, exactly as on the fast path.
-        writer.write(self._shard_frame(request, payload))
-        # The response's residency is the *wide* batch's: the request's
-        # rows were computed inside it, never as their own batch.
-        summary = {
-            "kind": "done",
-            "mode": request.mode,
-            "n_wires": request.n_wires,
-            "n_shards": 1,
-            "labels": list(self.basis.labels),
-            "transport": "coalesced",
-            "wall_seconds": loop.time() - started,
-            "server_residency": payload["residency"],
-        }
-        # Same ordering contract as _send_done: count, then reply.
-        self.stats.record("coalesced", summary["wall_seconds"])
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                request.request_id,
-                summary,
-                version=request.version,
-            ),
+    def _pooled(self, tasks):
+        """Pool results of ``tasks`` in task order, each awaited off-loop.
+
+        The runner's supervised fan-out detects a dead worker (its pid
+        set changed) or a hung one (``shard_timeout``) and re-runs the
+        shard down the recovery ladder to the in-process floor, so a
+        served request never hangs on a dead pool.
+        """
+        results = self._runner.supervised_results(
+            dispatch.run_shard,
+            tasks,
+            timeout=self.config.shard_timeout,
+            retries=self.config.shard_retries,
         )
-
-    # ------------------------------------------------------------------
-    # Corpus queries (version 3)
-    # ------------------------------------------------------------------
-
-    async def _handle_corpus_query(
-        self, frame: protocol.Frame, writer: "_Connection"
-    ) -> None:
-        """Parse, validate and serve one corpus-query frame."""
-        try:
-            query = protocol.parse_corpus_query(frame)
-        except ProtocolError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    frame.request_id, exc.code, str(exc), version=frame.version
-                ),
-            )
-            return
-        try:
-            self._check_corpus(query)
-            await self._process_corpus(
-                query, writer, self._deadline_at(query.deadline_ms)
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except ServingError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    exc.code,
-                    str(exc),
-                    version=query.version,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - must answer the client
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    version=query.version,
-                ),
-            )
+        for _ in tasks:
+            yield asyncio.to_thread(next, results)
 
     def _check_corpus(self, query: protocol.CorpusQuery) -> None:
         """The query must name the hosted corpus and fit inside it."""
@@ -1330,139 +1241,45 @@ class SpikeServer:
                 f"corpus of {self._corpus.n_rows} rows",
             )
 
-    def _corpus_bounds(self, query: protocol.CorpusQuery) -> np.ndarray:
-        """Chunk boundaries of one corpus scan.
+    def _plan_corpus(self, query: protocol.CorpusQuery) -> "_Plan":
+        """Chunks of one corpus scan, computed one at a time off-loop.
 
         At least enough chunks that none maps more than
         ``corpus_chunk_rows`` rows — the peak-memory contract — and at
-        least as many as the client asked for; like the request shard
-        plans, the split depends only on the query and the config.
+        least as many as the client asked for.  Result frames reach the
+        client as the scan advances, and at no point is more than one
+        window's pages plus one result frame in flight.
         """
-        n = query.n_wires
         chunk_rows = max(1, self.config.corpus_chunk_rows)
-        budget_chunks = -(-n // chunk_rows)
-        n_chunks = min(max(int(query.n_shards), budget_chunks, 1), n)
-        return np.linspace(
-            query.row_start, query.row_stop, n_chunks + 1
-        ).astype(np.int64)
+        budget_chunks = -(-query.n_wires // chunk_rows)
+        ranges = _split(
+            query.row_start, query.row_stop, max(query.n_shards, budget_chunks)
+        )
+        steps = (
+            partial(self._compute_corpus_chunk, query, lo, hi)
+            for lo, hi in ranges
+        )
+        return _Plan("corpus-mmap", len(ranges), _off_loop(steps))
 
     def _compute_corpus_chunk(
         self, query: protocol.CorpusQuery, lo: int, hi: int
     ) -> dict:
         """Map one row window and run the receiver pass on it.
 
-        Runs off-loop (``asyncio.to_thread``): the kernels compute
-        straight on the mapped words, so this is where the file pages
-        actually fault in — and the mapping is dropped with the chunk
-        batch, keeping the scan's working set at one window.
+        Runs off-loop: the kernels compute straight on the mapped
+        words, so this is where the file pages actually fault in — and
+        the mapping is dropped with the chunk batch, keeping the scan's
+        working set at one window.
         """
-        rows = self._corpus.open_rows(lo, hi)
         return dispatch.compute_shard(
             self.basis,
-            rows,
+            self._corpus.open_rows(lo, hi),
             lo,
             hi,
             mode=query.mode,
             start_slot=query.start_slot,
             limit=query.limit,
         )
-
-    async def _process_corpus(
-        self,
-        query: protocol.CorpusQuery,
-        writer: "_Connection",
-        deadline: Optional[float] = None,
-    ) -> None:
-        """Stream one corpus query's chunks, then the DONE summary.
-
-        Chunks are computed and written strictly one at a time: result
-        frames reach the client as the scan advances (first results
-        after one chunk, not after the whole range) and at no point is
-        more than one window's pages plus one result frame in flight.
-        The deadline is checked before each chunk — an expired scan
-        stops mapping windows instead of burning the rest of the range.
-        """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        bounds = self._corpus_bounds(query)
-        residency = {"packed": False, "csr": False, "raster": False}
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            self._check_deadline(deadline, "while scanning the corpus")
-            payload = await asyncio.to_thread(
-                self._compute_corpus_chunk, query, int(lo), int(hi)
-            )
-            for key in residency:
-                residency[key] |= bool(payload["residency"][key])
-            await self._send(writer, self._shard_frame(query, payload))
-        summary = {
-            "kind": "done",
-            "mode": query.mode,
-            "n_wires": query.n_wires,
-            "n_shards": len(bounds) - 1,
-            "labels": list(self.basis.labels),
-            "transport": "corpus-mmap",
-            "wall_seconds": loop.time() - started,
-            "server_residency": residency,
-            "corpus": self._corpus_name,
-            "row_start": query.row_start,
-            "row_stop": query.row_stop,
-        }
-        # Same ordering contract as _send_done: count, then reply.
-        self.stats.record("corpus-mmap", summary["wall_seconds"])
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                query.request_id,
-                summary,
-                version=query.version,
-            ),
-        )
-
-    async def _handle_logicnet(
-        self, frame: protocol.Frame, writer: "_Connection"
-    ) -> None:
-        """Parse, validate and serve one logicnet-query frame."""
-        try:
-            query = protocol.parse_logicnet_query(frame)
-        except ProtocolError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    frame.request_id, exc.code, str(exc), version=frame.version
-                ),
-            )
-            return
-        try:
-            self._check_logicnet(query)
-            await self._process_logicnet(
-                query, writer, self._deadline_at(query.deadline_ms)
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except ServingError as exc:
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    exc.code,
-                    str(exc),
-                    version=query.version,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - must answer the client
-            self.stats.errors += 1
-            await self._send(
-                writer,
-                protocol.encode_error(
-                    query.request_id,
-                    protocol.ERR_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    version=query.version,
-                ),
-            )
 
     #: Cap on evaluated gates per logicnet request (networks × depth ×
     #: gates) — bounds the packed working set the same way the frame
@@ -1480,238 +1297,121 @@ class SpikeServer:
                 f"split the network range across requests",
             )
 
-    def _logicnet_bounds(self, query: protocol.LogicNetQuery) -> np.ndarray:
-        """Shard boundaries of one logicnet query (network axis).
-
-        A pure function of the query and the config, like every other
-        shard plan — which is what keeps a served sweep bit-identical
-        however many workers execute it.
-        """
-        n_shards = query.n_shards or self.config.n_shards or 1
-        n_chunks = min(max(int(n_shards), 1), query.n_networks)
-        return np.linspace(
-            query.net_start, query.net_stop, n_chunks + 1
-        ).astype(np.int64)
-
-    async def _process_logicnet(
-        self,
-        query: protocol.LogicNetQuery,
-        writer: "_Connection",
-        deadline: Optional[float] = None,
-    ) -> None:
-        """Stream one logicnet query's shards, then the DONE summary.
+    def _plan_logicnet(self, query: protocol.LogicNetQuery) -> "_Plan":
+        """Shards of one logicnet query along the network axis.
 
         The request ships no payload, so there is no arena and no byte
-        budget: each shard task is a few integers, and workers rebuild
+        budget: each pool task is a few integers, and workers rebuild
         their networks from spawn keys against the basis they already
-        hold installed.  Pool dispatch rides the same supervised
-        getters as bitset shards — a killed worker's shard re-runs
-        down the recovery ladder and the stream stays bit-identical.
+        hold installed.
         """
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        bounds = self._logicnet_bounds(query)
-        tasks = [
-            dispatch.LogicNetShardTask(
-                token=self._basis_token,
-                seed=query.seed,
-                n_gates=query.n_gates,
-                depth=query.depth,
-                net_start=int(lo),
-                net_stop=int(hi),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+        ranges = _split(
+            query.net_start,
+            query.net_stop,
+            query.n_shards or self.config.n_shards or 1,
+        )
+        family = {
+            "seed": query.seed, "n_gates": query.n_gates, "depth": query.depth
+        }
         if self._use_pool():
-            transport = "seed-rebuild"
-            pending = [
-                self._runner.submit(dispatch.run_logicnet_shard, task)
-                for task in tasks
+            token = self._basis_token
+            tasks = [
+                dispatch.ShardTask(token, "logicnet", lo, hi, family)
+                for lo, hi in ranges
             ]
-            baseline = None
-            if hasattr(self._runner, "worker_pids"):
-                baseline = self._runner.worker_pids()
-            getters = [
-                lambda r=r, t=t, b=baseline: self._supervised_logicnet_get(
-                    r, t, b
-                )
-                for r, t in zip(pending, tasks)
-            ]
-        else:
-            transport = "in-process"
-            getters = [
-                lambda t=t: dispatch.compute_logicnet_shard(
-                    self.basis,
-                    seed=t.seed,
-                    n_gates=t.n_gates,
-                    depth=t.depth,
-                    net_start=t.net_start,
-                    net_stop=t.net_stop,
-                )
-                for t in tasks
-            ]
-        shards = await self._stream_shards(query, getters, writer, deadline)
-        residency = {"packed": False, "csr": False, "raster": False}
-        for payload in shards:
-            for key in residency:
-                residency[key] |= bool(payload["residency"][key])
-        summary = {
-            "kind": "done",
-            "mode": query.mode,
+            return _Plan("seed-rebuild", len(ranges), self._pooled(tasks))
+        compute = partial(dispatch.compute_logicnet_shard, self.basis)
+        steps = (partial(compute, lo, hi, **family) for lo, hi in ranges)
+        return _Plan("in-process", len(ranges), _off_loop(steps))
+
+
+class _Plan(NamedTuple):
+    """How one admitted request produces its shard results."""
+
+    transport: str
+    n_shards: int
+    #: Yields one awaitable per shard, in shard order, resolving to the
+    #: shard's payload; the request path awaits them one at a time.
+    shards: Iterator[Awaitable[dict]]
+    #: Bytes the request holds in the in-flight budget while its shards
+    #: stream (0: the plan pins no arena).
+    budget_bytes: int = 0
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one compute frame kind brings to :meth:`SpikeServer._serve`."""
+
+    parse: Callable[[protocol.Frame], Any]
+    check: Callable[[SpikeServer, Any], None]
+    plan: Callable[[SpikeServer, Any], _Plan]
+    #: The DONE summary's kind-specific keys.
+    done_keys: Callable[[Any], dict]
+
+
+_BITSET = _Kind(
+    parse=protocol.parse_request,
+    check=SpikeServer._check_grid,
+    plan=SpikeServer._plan_bitset,
+    done_keys=lambda request: {"n_wires": request.n_wires},
+)
+
+#: frame type → kind: every compute request the server answers.
+_KINDS: Dict[int, _Kind] = {
+    protocol.FRAME_IDENTIFY: _BITSET,
+    protocol.FRAME_MEMBERSHIP: _BITSET,
+    protocol.FRAME_CORPUS_QUERY: _Kind(
+        parse=protocol.parse_corpus_query,
+        check=SpikeServer._check_corpus,
+        plan=SpikeServer._plan_corpus,
+        done_keys=lambda query: {
+            "n_wires": query.n_wires,
+            "corpus": query.corpus,
+            "row_start": query.row_start,
+            "row_stop": query.row_stop,
+        },
+    ),
+    protocol.FRAME_LOGICNET: _Kind(
+        parse=protocol.parse_logicnet_query,
+        check=SpikeServer._check_logicnet,
+        plan=SpikeServer._plan_logicnet,
+        done_keys=lambda query: {
             "n_networks": query.n_networks,
             "n_gates": query.n_gates,
             "depth": query.depth,
-            "n_shards": len(shards),
-            "labels": list(self.basis.labels),
-            "transport": transport,
-            "wall_seconds": loop.time() - started,
-            "server_residency": residency,
             "row_start": query.net_start,
             "row_stop": query.net_stop,
-        }
-        # Same ordering contract as _send_done: count, then reply.
-        self.stats.record(transport, summary["wall_seconds"])
-        await self._send(
-            writer,
-            protocol.encode_json_frame(
-                protocol.FRAME_DONE,
-                query.request_id,
-                summary,
-                version=query.version,
-            ),
-        )
+        },
+    ),
+}
 
-    def _supervised_logicnet_get(self, handle, task, baseline):
-        """Logicnet twin of :meth:`_supervised_get` (same ladder)."""
-        await_result = getattr(self._runner, "await_result", None)
-        try:
-            if await_result is not None:
-                return await_result(
-                    handle,
-                    timeout=self.config.shard_timeout,
-                    baseline=baseline,
-                )
-            return handle.get(self.config.shard_timeout)
-        except (multiprocessing.TimeoutError, OSError, EOFError):
-            recover = getattr(self._runner, "submit_supervised", None)
-            if recover is None:
-                return dispatch.run_logicnet_shard(task)
-            return recover(
-                dispatch.run_logicnet_shard,
-                task,
-                timeout=self.config.shard_timeout,
-                retries=self.config.shard_retries,
-            )
 
-    async def _dispatch_pool(self, request, batch, bounds, writer, deadline):
-        """Shard over the worker pool through a per-request arena.
+def _split(start: int, stop: int, n_chunks: int) -> List[Tuple[int, int]]:
+    """``[start, stop)`` as ``n_chunks`` contiguous ranges.
 
-        Each shard's getter is *supervised*: if its result times out or
-        its worker dies mid-shard, the shard re-runs through the
-        runner's supervision ladder (resubmit, pool restart, in-process
-        floor) while the arena is still alive — so the recovered shard
-        reads the same operands and the streamed results stay
-        bit-identical to an undisturbed run.
-        """
-        with SharedArena() as arena:
-            handle = batch.to_shared(arena)
-            tasks = [
-                dispatch.ShardTask(
-                    token=self._basis_token,
-                    wires=handle,
-                    row_start=int(lo),
-                    row_stop=int(hi),
-                    mode=request.mode,
-                    start_slot=request.start_slot,
-                    limit=request.limit,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            pending = [
-                self._runner.submit(dispatch.run_shard, task)
-                for task in tasks
-            ]
-            baseline = None
-            if hasattr(self._runner, "worker_pids"):
-                baseline = self._runner.worker_pids()
-            getters = [
-                lambda r=r, t=t, b=baseline: self._supervised_get(r, t, b)
-                for r, t in zip(pending, tasks)
-            ]
-            return await self._stream_shards(
-                request, getters, writer, deadline
-            )
-        # Arena closed here: segments unlink once the last worker
-        # detaches (the runner's release broadcast covers shutdown).
+    ``n_chunks`` is clamped to ``[1, stop - start]``.  Every shard plan
+    is a pure function of the request and the config — never of which
+    workers pick the shards up — which is what keeps a served reply
+    bit-identical however many workers execute it.
+    """
+    n_chunks = max(1, min(int(n_chunks), stop - start))
+    bounds = np.linspace(start, stop, n_chunks + 1).astype(np.int64)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def _supervised_get(self, handle, task, baseline):
-        """One shard's result, recovered if its worker was lost.
 
-        Runs off-loop (inside ``asyncio.to_thread``).  The fast signal
-        is the runner's worker pid-set changing against ``baseline``;
-        the backstop is ``shard_timeout``.  Either way the shard rides
-        ``submit_supervised``'s ladder down to the in-process floor, so
-        a served request never hangs on a dead pool.
-        """
-        await_result = getattr(self._runner, "await_result", None)
-        try:
-            if await_result is not None:
-                return await_result(
-                    handle,
-                    timeout=self.config.shard_timeout,
-                    baseline=baseline,
-                )
-            return handle.get(self.config.shard_timeout)
-        except (multiprocessing.TimeoutError, OSError, EOFError):
-            recover = getattr(self._runner, "submit_supervised", None)
-            if recover is None:
-                return dispatch.run_shard(task)
-            return recover(
-                dispatch.run_shard,
-                task,
-                timeout=self.config.shard_timeout,
-                retries=self.config.shard_retries,
-            )
+def _on_loop(compute) -> Iterator[Awaitable[dict]]:
+    """One result computed inline on the event loop (the fast path)."""
+    yield _inline(compute)
 
-    async def _dispatch_inline(self, request, batch, bounds, writer, deadline):
-        """Run the same shards in-process, off the event loop."""
-        jobs = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows = (
-                batch
-                if (lo, hi) == (0, request.n_wires)
-                else batch.select_rows(np.arange(lo, hi))
-            )
-            jobs.append(
-                lambda rows=rows, lo=int(lo), hi=int(hi): (
-                    dispatch.compute_shard(
-                        self.basis,
-                        rows,
-                        lo,
-                        hi,
-                        mode=request.mode,
-                        start_slot=request.start_slot,
-                        limit=request.limit,
-                    )
-                )
-            )
-        return await self._stream_shards(request, jobs, writer, deadline)
 
-    async def _stream_shards(self, request, getters, writer, deadline=None):
-        """Await each shard result off-loop and stream it as a frame.
+async def _inline(compute) -> dict:
+    return compute()
 
-        The deadline is checked between shards: once it passes, no
-        further shard is awaited or streamed — the request fails with
-        ``ERR_DEADLINE`` and its budget bytes release through the
-        caller's ``finally``.
-        """
-        shards = []
-        for get in getters:
-            self._check_deadline(deadline, "while streaming shards")
-            payload = await asyncio.to_thread(get)
-            shards.append(payload)
-            await self._send(writer, self._shard_frame(request, payload))
-        return shards
+
+def _off_loop(steps) -> Iterator[Awaitable[dict]]:
+    """Each step's result computed on a worker thread, one at a time."""
+    for step in steps:
+        yield asyncio.to_thread(step)
 
 
 class ServerThread:

@@ -2,7 +2,7 @@
 
 The tentpole contract of the optimised serving paths: whatever route a
 request takes — fast path, coalesced micro-batch, sharded pool, any
-mix of protocol versions, any interleaving of pipelined request ids —
+interleaving of pipelined request ids —
 the merged reply is **bit-identical** to the serial compute path, and
 the payload never materialises a raster server-side.
 """
@@ -131,41 +131,6 @@ class TestFastPath:
         assert reply.summary["transport"] == "fast-path"
         assert np.array_equal(reply.membership, local.membership)
         assert np.array_equal(reply.first_slots, local.first_slots)
-
-
-class TestVersionNegotiation:
-    def test_mixed_v1_and_v2_clients_on_one_server(
-        self, fast_server, small_basis, request_batches
-    ):
-        """JSON and binary clients share a server, answers identical."""
-        wires, _ = request_batches[3]
-        local = local_identify(small_basis, wires)
-        with ServingClient(
-            fast_server.host, fast_server.port, version=1
-        ) as v1, ServingClient(
-            fast_server.host, fast_server.port, version=2
-        ) as v2:
-            reply_v1 = v1.identify(wires)
-            reply_v2 = v2.identify(wires)
-        for reply in (reply_v1, reply_v2):
-            assert np.array_equal(reply.elements, local.elements)
-            assert np.array_equal(
-                reply.decision_slots, local.decision_slots
-            )
-
-    def test_v1_membership_matches_v2(
-        self, fast_server, small_basis, request_batches
-    ):
-        wires, _ = request_batches[4]
-        with ServingClient(
-            fast_server.host, fast_server.port, version=1
-        ) as v1, ServingClient(
-            fast_server.host, fast_server.port, version=2
-        ) as v2:
-            reply_v1 = v1.membership(wires, n_shards=2)
-            reply_v2 = v2.membership(wires, n_shards=2)
-        assert np.array_equal(reply_v1.membership, reply_v2.membership)
-        assert np.array_equal(reply_v1.first_slots, reply_v2.first_slots)
 
 
 class TestPipelining:

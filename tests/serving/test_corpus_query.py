@@ -1,4 +1,4 @@
-"""Protocol v3: PING health probes and corpus-query serving.
+"""PING health probes and corpus-query serving.
 
 A corpus query names a server-hosted corpus and a row range — no
 bitset ever crosses the wire on the request path.  The contract: the
@@ -238,11 +238,6 @@ class TestCorpusFrameCodec:
             protocol.encode_corpus_query("c", 9, 3)
         with pytest.raises(ProtocolError):
             protocol.encode_corpus_query("", 0, 1)
-
-    def test_encode_rejects_pre_v3(self):
-        with pytest.raises(ProtocolError) as excinfo:
-            protocol.encode_corpus_query("c", 0, 1, version=2)
-        assert excinfo.value.code == protocol.ERR_BAD_VERSION
 
     def test_truncated_payload_rejected(self):
         frame_bytes = protocol.encode_corpus_query("library", 0, 10)

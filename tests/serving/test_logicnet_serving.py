@@ -1,4 +1,4 @@
-"""Protocol v5: served LOGICNET queries ≡ local batched evaluation.
+"""Served LOGICNET queries ≡ local batched evaluation.
 
 A logicnet query is 20 bytes — seed, network range, shape — and the
 server rebuilds the named networks from their spawn keys against its
@@ -106,7 +106,7 @@ class TestServedEqualsLocal:
             assert not shard["residency"]["raster"]
 
     def test_other_request_kinds_still_served(self, inline_server, small_basis):
-        """v5 serves logicnet alongside the v1-v4 request kinds."""
+        """Logicnet is served alongside the other request kinds."""
         wires = small_basis.as_batch()
         with ServingClient(inline_server.host, inline_server.port) as client:
             identified = client.identify(wires)
@@ -207,13 +207,6 @@ class TestLogicNetFrameCodec:
         with pytest.raises(ProtocolError):
             protocol.encode_logicnet_query(1, 0, 4, n_gates=4, depth=0)
 
-    def test_encode_rejects_pre_v5(self):
-        with pytest.raises(ProtocolError) as excinfo:
-            protocol.encode_logicnet_query(
-                1, 0, 4, n_gates=4, depth=1, version=4
-            )
-        assert excinfo.value.code == protocol.ERR_BAD_VERSION
-
     def test_truncated_payload_rejected(self):
         frame_bytes = protocol.encode_logicnet_query(
             1, 0, 4, n_gates=4, depth=1
@@ -227,7 +220,3 @@ class TestLogicNetFrameCodec:
         )
         with pytest.raises(ProtocolError):
             protocol.parse_logicnet_query(clipped)
-
-    def test_versions_one_to_four_still_supported(self):
-        assert protocol.PROTOCOL_VERSION == 5
-        assert protocol.SUPPORTED_VERSIONS == (1, 2, 3, 4, 5)

@@ -121,8 +121,8 @@ class TestRequestRoundTrip:
 
 
 class TestJsonFrames:
-    def test_shard_and_done_round_trip(self):
-        for ftype in (protocol.FRAME_SHARD, protocol.FRAME_DONE):
+    def test_stats_reply_and_done_round_trip(self):
+        for ftype in (protocol.FRAME_STATS_REPLY, protocol.FRAME_DONE):
             payload = {"elements": [1, 2, -1], "wall_seconds": 0.25}
             wire = protocol.encode_json_frame(ftype, 9, payload)
             frame = protocol.FrameReader().feed(wire)[0]
@@ -201,7 +201,7 @@ class TestFramingRejection:
 
     def test_payload_shorter_than_request_header_rejected(self):
         frame = protocol.Frame(
-            version=1,
+            version=protocol.PROTOCOL_VERSION,
             frame_type=protocol.FRAME_IDENTIFY,
             request_id=0,
             payload=b"\x00" * 8,
@@ -305,52 +305,29 @@ class TestRequestValidation:
         assert len(wire) == 4 + protocol.request_nbytes(4, 100)
 
 
-class TestVersionNegotiation:
-    def test_version_1_requests_still_decode(self):
+class TestSingleVersion:
+    def test_encoders_stamp_the_one_version(self):
+        rng = np.random.default_rng(8)
+        packed, grid, _batch = random_packed(rng, 3, 100)
+        for wire in (
+            protocol.encode_request(packed, grid.n_samples, grid.dt),
+            protocol.encode_json_frame(protocol.FRAME_DONE, 5, {}),
+            protocol.encode_ping(1),
+        ):
+            frame = protocol.FrameReader().feed(wire)[0]
+            assert frame.version == protocol.PROTOCOL_VERSION == 5
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_earlier_versions_rejected_by_the_reader(self, version):
         rng = np.random.default_rng(7)
         packed, grid, _batch = random_packed(rng, 3, 100)
-        wire = protocol.encode_request(
-            packed, grid.n_samples, grid.dt, version=1, request_id=9
+        wire = bytearray(
+            protocol.encode_request(packed, grid.n_samples, grid.dt)
         )
-        frames = protocol.FrameReader().feed(wire)
-        request = protocol.parse_request(frames[0])
-        assert request.version == 1
-        assert np.array_equal(request.packed, packed)
-
-    def test_requests_default_to_current_version(self):
-        rng = np.random.default_rng(8)
-        packed, grid, _batch = random_packed(rng, 3, 100)
-        wire = protocol.encode_request(packed, grid.n_samples, grid.dt)
-        request = protocol.parse_request(
-            protocol.FrameReader().feed(wire)[0]
-        )
-        assert request.version == protocol.PROTOCOL_VERSION == 5
-
-    def test_version_2_requests_still_decode(self):
-        rng = np.random.default_rng(8)
-        packed, grid, _batch = random_packed(rng, 3, 100)
-        wire = protocol.encode_request(
-            packed, grid.n_samples, grid.dt, version=2, request_id=4
-        )
-        request = protocol.parse_request(
-            protocol.FrameReader().feed(wire)[0]
-        )
-        assert request.version == 2
-        assert np.array_equal(request.packed, packed)
-
-    def test_unsupported_version_rejected_on_encode(self):
+        wire[8] = version
         with pytest.raises(ProtocolError) as err:
-            protocol.encode_request(
-                np.zeros((1, 8), dtype=np.uint8), 64, 1e-9, version=6
-            )
+            protocol.FrameReader().feed(bytes(wire))
         assert err.value.code == protocol.ERR_BAD_VERSION
-
-    def test_json_frames_stamp_the_requested_version(self):
-        wire = protocol.encode_json_frame(
-            protocol.FRAME_DONE, 5, {"kind": "done"}, version=1
-        )
-        frame = protocol.FrameReader().feed(wire)[0]
-        assert frame.version == 1
 
     def test_request_parts_concatenate_to_encode_request(self):
         rng = np.random.default_rng(9)
@@ -444,21 +421,6 @@ class TestResultFrames:
         assert frame.frame_type == protocol.FRAME_STATS
         assert frame.request_id == 77
         assert frame.payload == b""
-
-    def test_jsonable_payload_matches_v1_shapes(self):
-        rng = np.random.default_rng(2)
-        payload = {
-            "membership": rng.random((3, 4)) < 0.5,
-            "first_slots": rng.integers(-1, 9, (3, 4)).astype(np.int64),
-            "row_start": 0,
-        }
-        out = protocol.jsonable_payload(payload)
-        assert out["row_start"] == 0
-        assert isinstance(out["membership"], list)
-        assert all(
-            value in (0, 1) for row in out["membership"] for value in row
-        )
-        assert isinstance(out["first_slots"][0][0], int)
 
 
 def drive_buffered(reader, data, rng=None, step=None):
